@@ -326,7 +326,7 @@ impl DriverCheckpoint {
     /// Serializes the state into the `.ockpt` payload layout.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
-            13 * 8
+            12 * 8
                 + self.accepted.iter().map(|c| 4 + 4 * c.len()).sum::<usize>()
                 + 16 * self.fingerprints.len()
                 + 4 * self.uncovered.len()
@@ -342,7 +342,6 @@ impl DriverCheckpoint {
         out.extend_from_slice(&(self.stops.converged as u64).to_le_bytes());
         out.extend_from_slice(&(self.stops.move_cap as u64).to_le_bytes());
         out.extend_from_slice(&(self.stops.move_budget as u64).to_le_bytes());
-        out.extend_from_slice(&(self.stops.plateau as u64).to_le_bytes());
         out.extend_from_slice(&self.node_count.to_le_bytes());
         out.extend_from_slice(&(self.accepted.len() as u64).to_le_bytes());
         for community in &self.accepted {
@@ -385,7 +384,6 @@ impl DriverCheckpoint {
             converged: r.usize()?,
             move_cap: r.usize()?,
             move_budget: r.usize()?,
-            plateau: r.usize()?,
         };
         let node_count = r.u64()?;
         let n_communities = r.u64()?;
@@ -684,7 +682,6 @@ mod tests {
                 converged: 100,
                 move_cap: 10,
                 move_budget: 15,
-                plateau: 3,
             },
             node_count: n,
             accepted: vec![
@@ -765,7 +762,7 @@ mod tests {
         bad.seeds_tried = 1; // fewer accepts than tickets stays plausible
         let mut payload = bad.encode();
         // Claim 2 communities but provide 1: truncated payload.
-        payload[12 * 8..13 * 8].copy_from_slice(&2u64.to_le_bytes());
+        payload[11 * 8..12 * 8].copy_from_slice(&2u64.to_le_bytes());
         assert!(DriverCheckpoint::decode(&payload).is_err());
         // More accepts than tickets is impossible.
         let mut bad = sample(70);

@@ -129,15 +129,7 @@ impl OcaConfig {
                 self.halting.seeds_per_covered
             )));
         }
-        if !(self.search.budget_factor >= 0.0 && self.search.budget_factor.is_finite()) {
-            return Err(invalid(format!(
-                "ascent budget factor must be finite and non-negative, got {}",
-                self.search.budget_factor
-            )));
-        }
-        if self.search.max_moves < 1 {
-            return Err(invalid("need at least one move per ascent".to_string()));
-        }
+        self.search.validate("OCA")?;
         if let Some(ckpt) = &self.checkpoint {
             if ckpt.every_rounds < 1 {
                 return Err(invalid(

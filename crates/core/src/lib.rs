@@ -55,7 +55,7 @@ pub use local::{LocalConfig, LocalDetection, LocalDetector};
 pub use postprocess::{assign_orphans, merge_similar};
 pub use runner::{run_default, CoverageBitmap, Oca, OcaResult, PhaseNanos};
 pub use search::{
-    ascend, ascend_cancellable, local_search, AscentOutcome, AscentStop, MoveRule, SearchConfig,
+    ascend, ascend_cancellable, local_search, AscentOutcome, AscentStop, SearchConfig,
     SearchOutcome, MIN_MOVE_BUDGET,
 };
 pub use seed::{initial_set, ticket_seed, SeedStrategy};

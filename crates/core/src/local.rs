@@ -66,16 +66,7 @@ impl LocalConfig {
                 return Err(invalid(format!("fixed c must lie in (0, 1), got {c}")));
             }
         }
-        if !(self.search.budget_factor >= 0.0 && self.search.budget_factor.is_finite()) {
-            return Err(invalid(format!(
-                "ascent budget factor must be finite and non-negative, got {}",
-                self.search.budget_factor
-            )));
-        }
-        if self.search.max_moves < 1 {
-            return Err(invalid("need at least one move per ascent".to_string()));
-        }
-        Ok(())
+        self.search.validate("OCA-local")
     }
 }
 
@@ -181,8 +172,8 @@ impl LocalDetector {
         let (outcome, interrupted) =
             ascend_cancellable(state, &seeds, &self.config.search, Some(&token));
         if interrupted {
-            // The state holds the partial set (best-seen under the
-            // penalized rule); surface it as the typed partial result.
+            // The state holds the partial set; surface it as the typed
+            // partial result.
             let partial = self.to_detection(
                 graph,
                 state.to_community(),
