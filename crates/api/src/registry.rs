@@ -234,11 +234,6 @@ pub fn registry() -> DetectorRegistry {
                 "bypass the spectral c = -1/lambda_min with a fixed value",
             ),
             (
-                "relabel",
-                "true = ascend on a degree-ordered relabeled copy (cache \
-                 locality); covers are still reported in original ids",
-            ),
-            (
                 "ascent-budget",
                 "per-ascent move budget as a multiple of the initial set \
                  size; stops hub ascents from crawling whole cores; 0 \
@@ -405,7 +400,6 @@ fn build_oca(opts: &DetectorOptions) -> Result<BoxedDetector, DetectError> {
         merge_threshold,
         min_community_size: opts.get_or("min-size", defaults.min_community_size)?,
         assign_orphans: opts.get_or("orphans", defaults.assign_orphans)?,
-        relabel: opts.get_or("relabel", defaults.relabel)?,
         search: SearchConfig {
             budget_factor: opts.get_or("ascent-budget", defaults.search.budget_factor)?,
             prune_hub_degree: opts.get_or("hub-prune-degree", defaults.search.prune_hub_degree)?,
@@ -724,15 +718,17 @@ mod tests {
         }
     }
 
-    /// The ascent is greedy only: the options that once selected and tuned
-    /// another move rule are unknown keys, not silently ignored ones.
+    /// Removed options are unknown keys, not silently ignored ones: the
+    /// ascent is greedy only (no move rule to select or tune), and the one
+    /// relabeling pass is the one `.ocg` files get when they are built.
     #[test]
-    fn removed_move_rule_options_are_unknown() {
+    fn removed_options_are_unknown() {
         let reg = registry();
         for (name, key, value) in [
             ("oca", "move-rule", "greedy"),
             ("oca", "plateau-moves", "16"),
             ("oca", "tabu-tenure", "4"),
+            ("oca", "relabel", "true"),
             ("oca-local", "move-rule", "greedy"),
         ] {
             match reg

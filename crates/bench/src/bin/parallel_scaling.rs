@@ -70,12 +70,14 @@ fn json_graph(family: &str, graph: &CsrGraph, points: &[Point]) -> String {
         let throughput = p.result.seeds_tried as f64 / s.max(1e-9);
         let _ = writeln!(
             out,
-            "        {{\"threads\": {}, \"secs\": {:.6}, \"seeds_tried\": {}, \"communities\": {}, \"halt\": \"{}\", \"throughput_seeds_per_sec\": {:.1}, \"speedup\": {:.3}, \"identical_to_1_thread\": {}}}{}",
+            "        {{\"threads\": {}, \"secs\": {:.6}, \"runner_secs\": {:.6}, \"seeds_tried\": {}, \"communities\": {}, \"halt\": \"{}\", \"tickets_wasted\": {}, \"throughput_seeds_per_sec\": {:.1}, \"speedup\": {:.3}, \"identical_to_1_thread\": {}}}{}",
             p.threads,
             s,
+            (p.result.phases.ascent_ns + p.result.phases.dedup_ns) as f64 / 1e9,
             p.result.seeds_tried,
             p.result.cover.len(),
             p.result.halt_reason.map_or("none", |r| r.label()),
+            p.result.tickets_wasted,
             throughput,
             base_secs / s.max(1e-9),
             p.deterministic,
@@ -118,7 +120,10 @@ fn main() {
     let mut graphs: Vec<(&str, CsrGraph)> =
         vec![("lfr", lfr(&LfrParams::small(nodes, 0.3, seed)).graph)];
     if !smoke {
-        let pp = planted_partition(nodes / 50, 50, 0.3, 0.01, seed);
+        // 40 expected out-of-community neighbors per node at any n (0.01
+        // at the default n = 4000); a fixed p_out would make large-n
+        // graphs dense random ones.
+        let pp = planted_partition(nodes / 50, 50, 0.3, 40.0 / nodes as f64, seed);
         graphs.push(("planted", pp.graph));
     }
 
@@ -127,6 +132,7 @@ fn main() {
         "threads",
         "secs",
         "seeds",
+        "wasted",
         "communities",
         "speedup",
         "deterministic",
@@ -142,6 +148,7 @@ fn main() {
                 p.threads.to_string(),
                 secs(p.result.elapsed),
                 p.result.seeds_tried.to_string(),
+                p.result.tickets_wasted.to_string(),
                 p.result.cover.len().to_string(),
                 format!(
                     "{:.2}",

@@ -262,9 +262,8 @@ pub struct DriverCheckpoint {
     pub rejected_streak: u64,
     /// Ascent stop tallies at the boundary.
     pub stops: AscentStopStats,
-    /// Node count of the graph the driver ran on (the relabeled copy when
-    /// `relabel` is set); redundant with the graph binding, kept for
-    /// structural validation.
+    /// Node count of the graph the driver ran on; redundant with the graph
+    /// binding, kept for structural validation.
     pub node_count: u64,
     /// Accepted communities, in acceptance (ticket) order.
     pub accepted: Vec<Community>,
@@ -297,7 +296,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 ///
 /// `checkpoint` (where/how to persist), `threads` (never affects output),
 /// and `rng_seed` (carried in the payload and adopted on resume) are
-/// normalized out. Everything else — halting, search, batch, relabel,
+/// normalized out. Everything else — halting, search, batch, min size,
 /// seed strategy, `c` strategy, postprocessing — changes which tickets
 /// produce what, so a mismatch must refuse the resume.
 pub fn config_checksum(config: &OcaConfig) -> u64 {
@@ -800,9 +799,9 @@ mod tests {
         let mut halting = base.clone();
         halting.halting.max_seeds += 1;
         assert_ne!(config_checksum(&base), config_checksum(&halting));
-        let mut relabel = base.clone();
-        relabel.relabel = true;
-        assert_ne!(config_checksum(&base), config_checksum(&relabel));
+        let mut min_size = base.clone();
+        min_size.min_community_size += 1;
+        assert_ne!(config_checksum(&base), config_checksum(&min_size));
     }
 
     #[test]

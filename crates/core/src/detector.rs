@@ -77,6 +77,7 @@ impl CommunityDetector for OcaDetector {
                 "ascents_budget_stopped",
                 result.ascent_stops.move_budget.to_string(),
             ),
+            ("tickets_wasted", result.tickets_wasted.to_string()),
         ];
         // The `ckpt_*` namespace only appears on checkpointed runs, so
         // plain detections keep their usual stat set.

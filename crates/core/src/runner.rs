@@ -6,13 +6,16 @@
 //! `(rng_seed, i)`, tickets are processed in rounds of [`OcaConfig::batch`]
 //! whose seeds all see the same coverage snapshot, and an ordered reduction
 //! applies dedup / min-size filtering / coverage / halting in ticket order.
-//! Halting is therefore a monotone *cutoff ticket*: results past it are
-//! discarded identically no matter how threads interleaved, so for a fixed
-//! seed the cover is bit-identical across `threads ∈ {1, 2, …}`.
+//! Halting is therefore a monotone *cutoff ticket*, so for a fixed seed the
+//! cover is bit-identical across `threads ∈ {1, 2, …}`.
 //!
-//! The only cross-thread state during a round is read-only (the snapshot,
-//! the [`CoverageBitmap`]) plus one atomic ticket cursor workers lease
-//! small ticket batches from — no mutex anywhere on the hot path.
+//! One executor runs every round at every thread count: the calling
+//! thread plus `threads − 1` scoped workers lease tickets one at a time,
+//! park each outcome in a ticket-indexed slot, and whoever fills the
+//! frontier slot records it and every consecutive ready slot after it.
+//! A worker never runs more than `threads − 1` tickets ahead of the
+//! frontier, so at most `threads − 1` ascents are computed past the
+//! cutoff — none at one thread, where the executor is a plain loop.
 
 use crate::checkpoint::{
     config_checksum, graph_checksum, CheckpointConfig, CheckpointStats, DriverCheckpoint,
@@ -25,14 +28,12 @@ use crate::search::{ascend, AscentStop};
 use crate::seed::{initial_set, ticket_seed};
 use crate::state::CommunityState;
 use oca_graph::ckpt::CkptError;
-use oca_graph::{
-    Community, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId, Relabeling,
-};
+use oca_graph::{Community, Cover, CsrGraph, DetectContext, DetectError, Detection, NodeId};
 use oca_spectral::interaction_strength;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-phase wall-clock breakdown of one run, in nanoseconds. The bench
@@ -41,11 +42,12 @@ use std::time::{Duration, Instant};
 /// postprocessing) can never hide inside the end-to-end total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNanos {
-    /// Greedy ascents: seed drawing plus local search. In parallel mode
-    /// this is the wall time of the worker rounds, not summed CPU time.
+    /// Greedy ascents: seed drawing plus local search. This is the wall
+    /// time of the worker rounds minus [`PhaseNanos::dedup_ns`], not summed
+    /// CPU time, so the phases never add up to more than the wall clock.
     pub ascent_ns: u64,
     /// The ordered reduction: fingerprint dedup, coverage accounting and
-    /// halting, per ticket.
+    /// halting — the summed time inside its per-ticket record step.
     pub dedup_ns: u64,
     /// [`merge_similar`] over the accepted communities.
     pub merge_ns: u64,
@@ -74,6 +76,11 @@ pub struct OcaResult {
     /// tallied in ticket order up to the halting cutoff — deterministic
     /// for a fixed seed like the cover itself.
     pub ascent_stops: AscentStopStats,
+    /// Ascents computed but never recorded: speculative work past the
+    /// halting cutoff, or abandoned by a cancellation. At most
+    /// `threads − 1` per run and always 0 at one thread; the only field
+    /// here that depends on the thread count.
+    pub tickets_wasted: usize,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
     /// Where the wall-clock went, phase by phase.
@@ -89,65 +96,6 @@ pub struct OcaResult {
 #[derive(Debug, Clone, Default)]
 pub struct Oca {
     config: OcaConfig,
-}
-
-/// Node-coverage bitmap over `AtomicU64` words.
-///
-/// Inside the driver the ordered reduction is the only writer (seed picks
-/// deliberately use the round snapshot, not this bitmap — see
-/// `Round::pick_seed`), but updates go through `&self` atomics so the
-/// bitmap can be read lock-free from any thread at any time (progress
-/// callbacks, external monitors) and shared across the worker scope
-/// without borrow gymnastics. `Relaxed` suffices: bits only ever turn on,
-/// and cross-round visibility is given by the scope join.
-#[derive(Debug)]
-pub struct CoverageBitmap {
-    words: Vec<AtomicU64>,
-}
-
-impl CoverageBitmap {
-    /// An all-uncovered bitmap for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        CoverageBitmap {
-            words: (0..n.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// True if node `i` is covered. Lock-free.
-    pub fn get(&self, i: usize) -> bool {
-        self.words[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0
-    }
-
-    /// Marks node `i` covered; returns true if it was newly covered.
-    /// A real atomic RMW, so even concurrent setters could not lose bits.
-    fn set(&self, i: usize) -> bool {
-        let mask = 1 << (i % 64);
-        self.words[i / 64].fetch_or(mask, Ordering::Relaxed) & mask == 0
-    }
-
-    /// Copies the current words into `dst` (lock-free snapshot). The
-    /// driver takes one per round — at the round boundary, where the
-    /// bitmap is identical on the sequential and parallel paths — to
-    /// build the covered-hub prune mask every ticket of the round shares.
-    pub fn copy_words_into(&self, dst: &mut [u64]) {
-        debug_assert_eq!(dst.len(), self.words.len());
-        for (d, w) in dst.iter_mut().zip(&self.words) {
-            *d = w.load(Ordering::Relaxed);
-        }
-    }
-
-    /// Number of 64-bit words backing the bitmap.
-    pub fn word_count(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Rebuilds a bitmap from checkpointed words (validated upstream by
-    /// [`DriverCheckpoint::decode`]).
-    fn from_words(words: &[u64]) -> Self {
-        CoverageBitmap {
-            words: words.iter().map(|&w| AtomicU64::new(w)).collect(),
-        }
-    }
 }
 
 /// The uncovered-node list: O(1) unbiased seed picks (no rejection
@@ -202,15 +150,16 @@ struct TicketOutcome {
 /// The ordered deterministic reduction: every accepted ascent flows
 /// through [`Reduction::record`] in ascending ticket order, which is what
 /// makes dedup, coverage accounting and the halting cutoff independent of
-/// thread scheduling. The coverage bitmap lives *outside* (it is updated
-/// through `&self` atomics), so workers can hold a shared reference to it
-/// across rounds while the reduction advances between them.
+/// thread scheduling.
 struct Reduction {
     halting: HaltingState,
+    /// Node-coverage bitset, one bit per node.
+    covered: Vec<u64>,
     uncovered: UncoveredList,
     /// Nodes newly covered this round; applied to `uncovered` at round
     /// end (in this deterministic order) while its `nodes` vec is lent
-    /// out as the round's snapshot.
+    /// out as the round's snapshot, and cleared from `covered` again if
+    /// the round is rewound.
     newly_covered: Vec<NodeId>,
     /// Fingerprints of every accepted community: dedup is an O(1) probe
     /// with no member-vector clone (was `HashSet<Vec<NodeId>>`, which
@@ -235,6 +184,7 @@ impl Reduction {
         let halted = halting.should_halt();
         Reduction {
             halting,
+            covered: vec![0; n.div_ceil(64)],
             uncovered: UncoveredList::new(n),
             newly_covered: Vec::new(),
             seen: HashSet::new(),
@@ -266,6 +216,7 @@ impl Reduction {
         }
         Reduction {
             halting,
+            covered: ckpt.bitmap_words.clone(),
             uncovered: UncoveredList { nodes, pos },
             newly_covered: Vec::new(),
             seen: ckpt.fingerprints.iter().copied().collect(),
@@ -278,19 +229,7 @@ impl Reduction {
     }
 
     /// Snapshots the current (round-boundary) state for checkpointing.
-    /// The bitmap words are derived from the uncovered list rather than
-    /// copied from the live bitmap: at a boundary the two agree, and on
-    /// the cancellation flush path — where the live bitmap may have run
-    /// ahead inside the abandoned round — the rewound uncovered list is
-    /// the authoritative one.
     fn to_checkpoint(&self, rng_seed: u64, c: f64, lambda_min: f64, n: usize) -> DriverCheckpoint {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
-        if n % 64 != 0 {
-            words[n / 64] = (1u64 << (n % 64)) - 1;
-        }
-        for v in &self.uncovered.nodes {
-            words[v.index() / 64] &= !(1u64 << (v.index() % 64));
-        }
         DriverCheckpoint {
             rng_seed,
             c,
@@ -304,19 +243,13 @@ impl Reduction {
             accepted: self.accepted.clone(),
             fingerprints: self.accepted_fps.clone(),
             uncovered: self.uncovered.nodes.iter().map(|v| v.0).collect(),
-            bitmap_words: words,
+            bitmap_words: self.covered.clone(),
         }
     }
 
     /// Records the next ticket's outcome (in ticket order) and emits the
     /// post-record progress tick. Returns true while the run should go on.
-    fn record(
-        &mut self,
-        outcome: TicketOutcome,
-        covered: &CoverageBitmap,
-        ctx: &DetectContext,
-        max_seeds: usize,
-    ) -> bool {
+    fn record(&mut self, outcome: TicketOutcome, ctx: &DetectContext, max_seeds: usize) -> bool {
         debug_assert!(!self.halted, "ticket recorded past the cutoff");
         self.stops.record(outcome.stop);
         // Too-small communities are dropped without entering the dedup
@@ -332,7 +265,9 @@ impl Reduction {
                 .expect("novel fingerprint implies materialized members");
             let mut newly = 0usize;
             for &v in community.members() {
-                if covered.set(v.index()) {
+                let (word, bit) = (&mut self.covered[v.index() / 64], 1 << (v.index() % 64));
+                if *word & bit == 0 {
+                    *word |= bit;
                     self.newly_covered.push(v);
                     newly += 1;
                 }
@@ -365,45 +300,187 @@ struct Round<'a> {
     len: usize,
 }
 
+/// What a round's workers share under one mutex: the ticket cursor, the
+/// ticket-indexed outcome slots and the reduction that drains them.
+struct Ledger<'r> {
+    reduction: &'r mut Reduction,
+    /// Next round-local ticket to lease.
+    cursor: usize,
+    /// The frontier: the round-local ticket the reduction records next.
+    next: usize,
+    /// Finished outcomes by round-local ticket, taken as they are
+    /// recorded: what is left at the end was computed in vain.
+    slots: Vec<Option<TicketOutcome>>,
+    /// Set on a halt or a cancellation: nothing more is leased or recorded.
+    stop: bool,
+    /// Workers waiting for the frontier to move (wakeups are syscalls, so
+    /// they are only issued when someone waits).
+    parked: usize,
+    /// Summed time inside [`Reduction::record`].
+    record_ns: u64,
+}
+
+impl Ledger<'_> {
+    /// Records the frontier outcome and every consecutive ready one after
+    /// it, in ticket order. Returns true if the frontier moved.
+    fn drain(&mut self, ctx: &DetectContext, max_seeds: usize) -> bool {
+        let from = self.next;
+        while !self.stop {
+            let Some(outcome) = self.slots.get_mut(self.next).and_then(Option::take) else {
+                break;
+            };
+            let t0 = Instant::now();
+            let go_on = self.reduction.record(outcome, ctx, max_seeds);
+            self.record_ns += t0.elapsed().as_nanos() as u64;
+            self.next += 1;
+            self.stop = !go_on || ctx.is_cancelled();
+        }
+        self.next > from
+    }
+}
+
+/// A round's ledger plus the condition variable workers park on while
+/// they are a full window ahead of the frontier.
+struct Shared<'r> {
+    ledger: Mutex<Ledger<'r>>,
+    advanced: Condvar,
+}
+
+impl<'r> Shared<'r> {
+    fn lock(&self) -> MutexGuard<'_, Ledger<'r>> {
+        self.ledger.lock().expect("a round worker panicked")
+    }
+}
+
+/// Unblocks a round when a worker unwinds: peers parked behind the
+/// frontier ticket it held would otherwise wait forever, and the scope
+/// could never re-raise the panic.
+struct StopOnUnwind<'a, 'r>(&'a Shared<'r>);
+
+impl Drop for StopOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut ledger = self.0.ledger.lock().unwrap_or_else(PoisonError::into_inner);
+            ledger.stop = true;
+            self.0.advanced.notify_all();
+        }
+    }
+}
+
 impl Round<'_> {
-    /// Runs the ascent for round-local ticket `t`: a pure function of
-    /// `(rng_seed, start + t)` and the round snapshot.
-    ///
-    /// `seen` is a dedup-set snapshot no newer than the reduction's view
-    /// of this ticket (the live set on the sequential path, the
-    /// round-start set in parallel). Probing it never changes the
-    /// *decision* — the reduction re-checks in ticket order — it only
-    /// skips materializing member vectors for ascents that are already
-    /// guaranteed to be rejected, so the output stays bit-identical at
-    /// any thread count.
-    fn run_ticket(
+    /// Executes the round and returns `(tickets_wasted, record_ns)`. The
+    /// calling thread is worker 0; one scoped thread joins it per further
+    /// state (none at one thread). Workers lease tickets one at a time,
+    /// and whoever fills the frontier slot records it and every
+    /// consecutive ready slot after it. With `w` workers no ticket is
+    /// leased `w` or more past the frontier, so a halt wastes at most
+    /// `w − 1` ascents.
+    fn run(
+        &self,
+        states: &mut [CommunityState<'_>],
+        reduction: &mut Reduction,
+        ctx: &DetectContext,
+    ) -> (usize, u64) {
+        let shared = Shared {
+            ledger: Mutex::new(Ledger {
+                reduction,
+                cursor: 0,
+                next: 0,
+                slots: (0..self.len).map(|_| None).collect(),
+                stop: false,
+                parked: 0,
+                record_ns: 0,
+            }),
+            advanced: Condvar::new(),
+        };
+        let workers = states.len().min(self.len);
+        let (first, rest) = states[..workers]
+            .split_first_mut()
+            .expect("a round has at least one ticket");
+        crossbeam::scope(|scope| {
+            for state in rest {
+                let shared = &shared;
+                scope.spawn(move |_| self.work(state, shared, workers, ctx));
+            }
+            self.work(first, &shared, workers, ctx);
+        })
+        .expect("worker thread panicked");
+        let ledger = shared.ledger.into_inner().expect("a round worker panicked");
+        let wasted = ledger.slots.iter().filter(|slot| slot.is_some()).count();
+        (wasted, ledger.record_ns)
+    }
+
+    /// One worker's loop: lease the next ticket (parked while `window`
+    /// tickets ahead of the frontier), ascend without the lock, then
+    /// deposit the outcome and drain from the frontier.
+    fn work(
         &self,
         state: &mut CommunityState<'_>,
-        t: usize,
-        seen: &HashSet<u128>,
-    ) -> TicketOutcome {
+        shared: &Shared<'_>,
+        window: usize,
+        ctx: &DetectContext,
+    ) {
+        let _unblock = StopOnUnwind(shared);
+        let mut ledger = shared.lock();
+        loop {
+            ledger.stop |= ctx.is_cancelled();
+            while !ledger.stop && ledger.cursor < self.len && ledger.cursor >= ledger.next + window
+            {
+                ledger.parked += 1;
+                ledger = shared
+                    .advanced
+                    .wait(ledger)
+                    .expect("a round worker panicked");
+                ledger.parked -= 1;
+            }
+            if ledger.stop || ledger.cursor == self.len {
+                break;
+            }
+            let t = ledger.cursor;
+            ledger.cursor += 1;
+            drop(ledger);
+            let stop = self.run_ticket(state, t);
+            let (fp, size) = (state.fingerprint(), state.len());
+            ledger = shared.lock();
+            // Pre-filter on the live dedup set: it only grows within a
+            // round, so a fingerprint already in it is rejected when
+            // recorded, and its members need not be materialized.
+            let community = (size >= self.config.min_community_size
+                && !ledger.reduction.seen.contains(&fp))
+            .then(|| state.to_community());
+            ledger.slots[t] = Some(TicketOutcome {
+                fp,
+                size,
+                community,
+                stop,
+            });
+            if ledger.drain(ctx, self.config.halting.max_seeds) && ledger.parked > 0 {
+                shared.advanced.notify_all();
+            }
+        }
+        // Leaving on a halt or a cancellation: wake parked peers so they
+        // see it too.
+        if ledger.parked > 0 {
+            shared.advanced.notify_all();
+        }
+    }
+
+    /// Runs the ascent for round-local ticket `t`, leaving its final set
+    /// in `state`: a pure function of `(rng_seed, start + t)` and the
+    /// round snapshot.
+    fn run_ticket(&self, state: &mut CommunityState<'_>, t: usize) -> AscentStop {
         let mut rng = StdRng::seed_from_u64(ticket_seed(self.rng_seed, self.start + t as u64));
         let seed = self.pick_seed(&mut rng);
         let initial = initial_set(self.config.seed_strategy, self.graph, seed, &mut rng);
-        let outcome = ascend(state, &initial, &self.config.search);
-        let fp = state.fingerprint();
-        let size = state.len();
-        let community = (size >= self.config.min_community_size && !seen.contains(&fp))
-            .then(|| state.to_community());
-        TicketOutcome {
-            fp,
-            size,
-            community,
-            stop: outcome.stop,
-        }
+        ascend(state, &initial, &self.config.search).stop
     }
 
     /// O(1) unbiased pick from the uncovered snapshot; when everything is
     /// covered (possible while the coverage criterion is disabled) any
-    /// node will do. Note the pick is against the *snapshot*, not the live
-    /// bitmap: the sequential path reduces incrementally, so the bitmap
-    /// may run ahead mid-round, and consulting it would reintroduce
-    /// schedule-dependent output.
+    /// node will do. Note the pick is against the *snapshot*, not the
+    /// live coverage: the reduction records mid-round, so coverage may
+    /// run ahead, and consulting it would reintroduce schedule-dependent
+    /// output.
     fn pick_seed<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
         if self.snapshot.is_empty() {
             return NodeId(rng.random_range(0..self.graph.node_count() as u32));
@@ -468,36 +545,7 @@ impl Oca {
     /// Randomness still derives from [`OcaConfig::rng_seed`]; detector
     /// wrappers copy the context seed into the config first. For a fixed
     /// seed the result is identical at any [`OcaConfig::threads`] count.
-    ///
-    /// With [`OcaConfig::relabel`] set, the run happens on a
-    /// degree-ordered copy of the graph and every cover leaving this
-    /// function — the result's and a cancellation's partial — is mapped
-    /// back to original ids.
     pub fn run_ctx(&self, graph: &CsrGraph, ctx: &DetectContext) -> Result<OcaResult, DetectError> {
-        if !self.config.relabel {
-            return self.run_ctx_inner(graph, ctx);
-        }
-        let relabeling = Relabeling::degree_descending(graph);
-        let compact = graph.relabeled(&relabeling);
-        match self.run_ctx_inner(&compact, ctx) {
-            Ok(mut result) => {
-                result.cover = relabeling.cover_to_original(&result.cover);
-                Ok(result)
-            }
-            Err(DetectError::Cancelled { partial }) => Err(DetectError::cancelled(Detection {
-                cover: relabeling.cover_to_original(&partial.cover),
-                ..*partial
-            })),
-            Err(other) => Err(other),
-        }
-    }
-
-    /// [`Oca::run_ctx`] on the graph as given (no relabeling pass).
-    fn run_ctx_inner(
-        &self,
-        graph: &CsrGraph,
-        ctx: &DetectContext,
-    ) -> Result<OcaResult, DetectError> {
         let start = Instant::now();
         let n = graph.node_count();
         let cancelled =
@@ -529,6 +577,7 @@ impl Oca {
                 raw_community_count: 0,
                 halt_reason: None,
                 ascent_stops: AscentStopStats::default(),
+                tickets_wasted: 0,
                 elapsed: start.elapsed(),
                 phases: PhaseNanos::default(),
                 checkpoint: ckpt_stats,
@@ -589,11 +638,6 @@ impl Oca {
         };
         let rng_seed = resumed.as_ref().map_or(config.rng_seed, |d| d.rng_seed);
 
-        let threads = config.threads;
-        let covered = match &resumed {
-            Some(d) => CoverageBitmap::from_words(&d.bitmap_words),
-            None => CoverageBitmap::new(n),
-        };
         let mut reduction = match &resumed {
             Some(d) => {
                 ckpt_stats.resumed_from_ticket = Some(d.seeds_tried);
@@ -603,20 +647,19 @@ impl Oca {
         };
         drop(resumed);
         let mut phases = PhaseNanos::default();
+        let mut tickets_wasted = 0;
         // One reusable search state per worker; buffers persist across
         // rounds so reset cost stays proportional to work done.
-        let mut states: Vec<CommunityState<'_>> = (0..threads.max(1))
+        let mut states: Vec<CommunityState<'_>> = (0..config.threads)
             .map(|_| CommunityState::new(graph, c))
             .collect();
         // Covered-hub pruning: nodes of degree ≥ the threshold get a bit
         // in this fixed mask; each round intersects it with the round-start
-        // coverage and hands the result to every worker state. Because the
-        // bitmap only advances at round boundaries on the parallel path —
-        // and the sequential path uses the same round-start snapshot — the
-        // prune mask a ticket sees is a pure function of the schedule, so
+        // coverage and hands the result to every worker state, so the
+        // prune mask a ticket sees is a pure function of the schedule and
         // covers stay bit-identical across thread counts.
         let hub_mask: Vec<u64> = if config.search.prune_hub_degree > 0 {
-            let mut mask = vec![0u64; covered.word_count()];
+            let mut mask = vec![0u64; n.div_ceil(64)];
             for v in 0..n {
                 if graph.neighbors(NodeId(v as u32)).len() >= config.search.prune_hub_degree {
                     mask[v / 64] |= 1 << (v % 64);
@@ -631,9 +674,12 @@ impl Oca {
 
         while !reduction.halted {
             if !hub_mask.is_empty() {
-                covered.copy_words_into(&mut prune_words);
-                for (w, m) in prune_words.iter_mut().zip(&hub_mask) {
-                    *w &= m;
+                for ((w, c), m) in prune_words
+                    .iter_mut()
+                    .zip(&reduction.covered)
+                    .zip(&hub_mask)
+                {
+                    *w = c & m;
                 }
                 for state in &mut states {
                     state.set_prune_snapshot(&prune_words);
@@ -645,10 +691,8 @@ impl Oca {
             // The uncovered list is *lent out* (no copy) as the round's
             // pick snapshot; the reduction buffers this round's removals
             // in `newly_covered` and applies them once the round is over,
-            // so the sequential path can reduce incrementally (stopping
-            // at the cutoff without wasted ascents) while every pick of
-            // the round still sees the round-start coverage, exactly
-            // like the parallel path.
+            // so every pick of the round sees the round-start coverage
+            // while the reduction records mid-round.
             // Round-start guard for the cancellation rewind: counter
             // clones only, taken only while checkpointing is armed.
             let guard = ckpt_cfg.is_some().then(|| {
@@ -667,43 +711,11 @@ impl Oca {
                 start: done as u64,
                 len,
             };
-
-            if threads <= 1 || len == 1 {
-                for t in 0..len {
-                    if ctx.is_cancelled() {
-                        break;
-                    }
-                    // Sequentially the reduction's live dedup set is
-                    // current for this ticket, so it doubles as the
-                    // pre-filter snapshot.
-                    let t0 = Instant::now();
-                    let outcome = round.run_ticket(&mut states[0], t, &reduction.seen);
-                    let t1 = Instant::now();
-                    let go_on = reduction.record(outcome, &covered, ctx, config.halting.max_seeds);
-                    phases.ascent_ns += t1.duration_since(t0).as_nanos() as u64;
-                    phases.dedup_ns += t1.elapsed().as_nanos() as u64;
-                    if !go_on {
-                        break;
-                    }
-                }
-            } else {
-                let t0 = Instant::now();
-                let results = run_round_parallel(&round, &mut states, &reduction.seen, ctx);
-                let t1 = Instant::now();
-                phases.ascent_ns += t1.duration_since(t0).as_nanos() as u64;
-                for slot in results {
-                    // A hole means a worker bailed on cancellation; the
-                    // contiguous prefix before it is still reduced so the
-                    // partial result is well-formed.
-                    let Some(outcome) = slot else { break };
-                    if !reduction.record(outcome, &covered, ctx, config.halting.max_seeds)
-                        || ctx.is_cancelled()
-                    {
-                        break;
-                    }
-                }
-                phases.dedup_ns += t1.elapsed().as_nanos() as u64;
-            }
+            let t0 = Instant::now();
+            let (wasted, record_ns) = round.run(&mut states, &mut reduction, ctx);
+            phases.ascent_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(record_ns);
+            phases.dedup_ns += record_ns;
+            tickets_wasted += wasted;
             reduction.uncovered.nodes = snapshot;
             if ctx.is_cancelled() {
                 if let (Some(ck), Some((halting, stops, accepted_len))) = (ckpt_cfg, guard) {
@@ -712,18 +724,17 @@ impl Oca {
                     // flush a final checkpoint and return the rewound
                     // state as the partial. The abandoned round's accepts
                     // are undone (fingerprints out of `seen`, communities
-                    // truncated, counters restored, buffered removals
-                    // dropped); the live bitmap may keep stray mid-round
-                    // bits, but the checkpoint derives coverage from the
-                    // rewound uncovered list and this process does no
-                    // further work with the bitmap.
+                    // truncated, counters restored, coverage bits cleared
+                    // and buffered removals dropped).
                     for fp in reduction.accepted_fps.drain(accepted_len..) {
                         reduction.seen.remove(&fp);
                     }
                     reduction.accepted.truncate(accepted_len);
                     reduction.halting = halting;
                     reduction.stops = stops;
-                    reduction.newly_covered.clear();
+                    for v in reduction.newly_covered.drain(..) {
+                        reduction.covered[v.index() / 64] &= !(1 << (v.index() % 64));
+                    }
                     write_checkpoint(
                         ck,
                         bindings.expect("bindings computed when armed"),
@@ -800,6 +811,7 @@ impl Oca {
             raw_community_count: raw_count,
             halt_reason: reduction.halting.reason(),
             ascent_stops: reduction.stops,
+            tickets_wasted,
             elapsed: start.elapsed(),
             phases,
             checkpoint: ckpt_stats,
@@ -841,60 +853,6 @@ fn write_checkpoint(
     }
 }
 
-/// Executes one round's tickets across scoped worker threads. Workers
-/// lease ticket chunks from an atomic cursor (one `fetch_add` per chunk —
-/// the entire cross-thread synchronization of the round) and return their
-/// results, which are assembled into ticket-indexed slots for the ordered
-/// reduction. `None` slots only occur after cancellation.
-fn run_round_parallel(
-    round: &Round<'_>,
-    states: &mut [CommunityState<'_>],
-    seen: &HashSet<u128>,
-    ctx: &DetectContext,
-) -> Vec<Option<TicketOutcome>> {
-    let cursor = AtomicUsize::new(0);
-    // Small leases keep workers balanced near the end of a round while
-    // amortizing the cursor traffic.
-    let lease = (round.len / (states.len() * 4)).clamp(1, 32);
-    let buffers: Vec<Vec<(usize, TicketOutcome)>> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = states
-            .iter_mut()
-            .map(|state| {
-                let cursor = &cursor;
-                scope.spawn(move |_| {
-                    let mut out: Vec<(usize, TicketOutcome)> = Vec::new();
-                    'lease: loop {
-                        let lo = cursor.fetch_add(lease, Ordering::Relaxed);
-                        if lo >= round.len {
-                            break;
-                        }
-                        for t in lo..(lo + lease).min(round.len) {
-                            if ctx.is_cancelled() {
-                                break 'lease;
-                            }
-                            out.push((t, round.run_ticket(state, t, seen)));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-    .expect("worker thread panicked");
-
-    let mut slots: Vec<Option<TicketOutcome>> = Vec::new();
-    slots.resize_with(round.len, || None);
-    for (t, outcome) in buffers.into_iter().flatten() {
-        debug_assert!(slots[t].is_none(), "ticket executed twice");
-        slots[t] = Some(outcome);
-    }
-    slots
-}
-
 /// Convenience: run OCA with default configuration.
 pub fn run_default(graph: &CsrGraph) -> OcaResult {
     Oca::default().run(graph)
@@ -905,7 +863,6 @@ mod tests {
     use super::*;
     use crate::config::OcaConfig;
     use oca_graph::from_edges;
-    use std::sync::Mutex;
 
     /// Three 5-cliques connected in a ring by single bridges.
     fn three_cliques() -> CsrGraph {
@@ -956,12 +913,14 @@ mod tests {
 
     /// The determinism contract of this module: for a fixed seed the
     /// cover, the seeds-tried cutoff and the halt reason are bit-identical
-    /// at any thread count — including cutoffs that land mid-round.
+    /// at any thread count — including cutoffs that land mid-round — and
+    /// only the last `threads − 1` ascents may be computed in vain.
     #[test]
     fn parallel_equals_sequential_at_any_thread_count() {
         let g = three_cliques();
         let reference = Oca::new(quick_config()).run(&g);
         assert_eq!(reference.cover.len(), 3);
+        assert_eq!(reference.tickets_wasted, 0, "one thread never speculates");
         for threads in [2, 3, 4, 8] {
             let r = Oca::new(OcaConfig {
                 threads,
@@ -971,6 +930,31 @@ mod tests {
             assert_eq!(r.cover, reference.cover, "threads = {threads}");
             assert_eq!(r.seeds_tried, reference.seeds_tried, "threads = {threads}");
             assert_eq!(r.halt_reason, reference.halt_reason, "threads = {threads}");
+            assert!(r.tickets_wasted < threads, "threads = {threads}");
+        }
+    }
+
+    /// A 10-clique is covered by its first ascent, so the run halts at
+    /// ticket 1 of a 64-ticket round: the executor stops leasing there
+    /// instead of computing the rest of the round.
+    #[test]
+    fn halting_at_the_first_ticket_wastes_at_most_threads_minus_one() {
+        let mut edges = Vec::new();
+        for i in 0..10u32 {
+            for j in (i + 1)..10 {
+                edges.push((i, j));
+            }
+        }
+        let g = from_edges(10, edges);
+        for threads in [1, 2, 4] {
+            let r = Oca::new(OcaConfig {
+                threads,
+                ..quick_config()
+            })
+            .run(&g);
+            assert_eq!(r.seeds_tried, 1, "threads = {threads}");
+            assert_eq!(r.halt_reason, Some(HaltReason::Coverage));
+            assert!(r.tickets_wasted < threads, "threads = {threads}");
         }
     }
 
@@ -1135,15 +1119,6 @@ mod tests {
             total <= r.elapsed.as_nanos() as u64,
             "phases cannot exceed the wall clock"
         );
-    }
-
-    #[test]
-    fn coverage_bitmap_tracks_sets() {
-        let bm = CoverageBitmap::new(130);
-        assert!(!bm.get(0) && !bm.get(129));
-        assert!(bm.set(129), "first set is new");
-        assert!(!bm.set(129), "second set is not");
-        assert!(bm.get(129) && !bm.get(128));
     }
 
     #[test]

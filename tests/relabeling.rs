@@ -1,10 +1,11 @@
-//! Degree-ordered relabeling: permutation round-trips, detector contracts
-//! with relabeling on and off, and quality parity on the Fig. 2 setup.
+//! Degree-ordered relabeling: permutation round-trips, and detection on a
+//! relabeled graph (what a relabeled `.ocg` file holds) mapped back to
+//! original ids.
 //!
-//! Relabeling is part of the deterministic schedule (seed picks index the
-//! relabeled id space), so covers legitimately differ between the on/off
-//! runs of one seed; what must *not* differ is validity, determinism, the
-//! thread-count contract, and — within tolerance — the quality metrics
+//! Relabeling changes which seeds are drawn (seed picks index the
+//! relabeled id space), so covers legitimately differ from a run of the
+//! same seed on the original ids; what must *not* differ is the
+//! thread-count contract and — within tolerance — the quality metrics
 //! against the planted ground truth.
 
 use oca_repro::gen::{lfr, LfrParams};
@@ -16,13 +17,24 @@ fn lfr_bench(seed: u64) -> oca_repro::gen::LfrBenchmark {
     lfr(&LfrParams::small(600, 0.25, seed))
 }
 
-fn oca_with_relabel(relabel: bool) -> Box<dyn CommunityDetector> {
-    let opts = DetectorOptions::new()
-        .with("relabel", if relabel { "true" } else { "false" })
-        .with("max-seeds", "2400")
-        .with("target-coverage", "0.99")
-        .with("stagnation", "200");
-    registry().build("oca", &opts).expect("valid options")
+fn oca(max_seeds: &str, stagnation: &str) -> DetectorOptions {
+    DetectorOptions::new()
+        .with("max-seeds", max_seeds)
+        .with("stagnation", stagnation)
+}
+
+/// Detects on the degree-ordered copy of `graph` and maps the cover back
+/// to original ids — what loading a relabeled `.ocg` file does.
+fn detect_relabeled(graph: &CsrGraph, opts: &DetectorOptions, seed: u64) -> Detection {
+    let relabeling = Relabeling::degree_descending(graph);
+    let compact = graph.relabeled(&relabeling);
+    let mut detection = registry()
+        .build("oca", opts)
+        .expect("valid options")
+        .detect(&compact, &mut DetectContext::new(seed))
+        .unwrap();
+    detection.cover = relabeling.cover_to_original(&detection.cover);
+    detection
 }
 
 #[test]
@@ -46,61 +58,15 @@ fn degree_ordered_relabeling_round_trips_on_generated_graphs() {
     }
 }
 
-/// The conformance contracts that matter for an opt-in pass: fixed-seed
-/// determinism and valid covers, with relabeling on and off.
-#[test]
-fn detector_contracts_hold_with_relabeling_on_and_off() {
-    let bench = lfr_bench(11);
-    for relabel in [false, true] {
-        let detector = oca_with_relabel(relabel);
-        let a = detector
-            .detect(&bench.graph, &mut DetectContext::new(5))
-            .unwrap();
-        let b = detector
-            .detect(&bench.graph, &mut DetectContext::new(5))
-            .unwrap();
-        assert_eq!(
-            a.cover, b.cover,
-            "relabel={relabel}: runs with one seed must be identical"
-        );
-        assert_eq!(
-            a.cover.node_count(),
-            bench.graph.node_count(),
-            "relabel={relabel}"
-        );
-        for community in a.cover.communities() {
-            assert!(!community.is_empty(), "relabel={relabel}: empty community");
-            for &v in community.members() {
-                assert!(
-                    v.index() < bench.graph.node_count(),
-                    "relabel={relabel}: member {v} out of range — covers must \
-                     be reported in original ids"
-                );
-            }
-        }
-    }
-}
-
 /// The threads-determinism contract survives relabeling: for a fixed seed
 /// the cover is bit-identical at any thread count.
 #[test]
 fn relabeled_runs_are_thread_independent() {
     let bench = lfr_bench(3);
-    let base = DetectorOptions::new()
-        .with("relabel", "true")
-        .with("max-seeds", "1200")
-        .with("stagnation", "120");
-    let reference = registry()
-        .build("oca", &base.clone().with("threads", "1"))
-        .unwrap()
-        .detect(&bench.graph, &mut DetectContext::new(9))
-        .unwrap();
+    let base = oca("1200", "120");
+    let reference = detect_relabeled(&bench.graph, &base.clone().with("threads", "1"), 9);
     for threads in ["2", "4"] {
-        let run = registry()
-            .build("oca", &base.clone().with("threads", threads))
-            .unwrap()
-            .detect(&bench.graph, &mut DetectContext::new(9))
-            .unwrap();
+        let run = detect_relabeled(&bench.graph, &base.clone().with("threads", threads), 9);
         assert_eq!(run.cover, reference.cover, "threads={threads}");
         assert_eq!(run.iterations, reference.iterations, "threads={threads}");
     }
@@ -113,17 +79,22 @@ fn relabeled_runs_are_thread_independent() {
 #[test]
 fn fig2_quality_metrics_agree_within_tolerance() {
     let bench = lfr_bench(1234);
-    let mut scores: Vec<(f64, f64)> = Vec::new();
-    for relabel in [false, true] {
-        let detection = oca_with_relabel(relabel)
-            .detect(&bench.graph, &mut DetectContext::new(77))
-            .unwrap();
-        let cover = detection.cover;
-        scores.push((
-            theta(&cover, &bench.ground_truth),
-            omega_index(&cover, &bench.ground_truth),
-        ));
-    }
+    let opts = oca("2400", "200").with("target-coverage", "0.99");
+    let plain = registry()
+        .build("oca", &opts)
+        .unwrap()
+        .detect(&bench.graph, &mut DetectContext::new(77))
+        .unwrap();
+    let relabeled = detect_relabeled(&bench.graph, &opts, 77);
+    let scores: Vec<(f64, f64)> = [plain.cover, relabeled.cover]
+        .iter()
+        .map(|cover| {
+            (
+                theta(cover, &bench.ground_truth),
+                omega_index(cover, &bench.ground_truth),
+            )
+        })
+        .collect();
     let (theta_off, omega_off) = scores[0];
     let (theta_on, omega_on) = scores[1];
     assert!(
